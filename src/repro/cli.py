@@ -28,7 +28,8 @@ Subcommands mirror how the paper's system is used:
   queue directory (``sweep``/``search`` with ``--backend queue``)
   and simulates them until the queue drains or it is stopped;
 * ``stats``    — statistics utilities: ``stats merge A.json B.json``
-  reduces per-shard result documents into one merged document;
+  reduces per-shard (exact) or per-region (weighted estimate) result
+  documents into one merged document;
 * ``serve``    — the campaign service: a long-lived process accepting
   simulate/sweep/search submissions over HTTP/JSON, scheduling them
   onto the execution backends, streaming progress events, and
@@ -234,11 +235,11 @@ def _simulate_regions(args, config) -> int:
     import tempfile
     from repro.exec import (
         ExecError,
-        RegionReducer,
+        PartitionReducer,
         WorkUnit,
         execute_unit,
+        partition_units,
         plan_regions,
-        region_units,
     )
     from repro.serialize import config_to_dict, stats_from_dict
     from repro.trace.analyze import ensure_profile
@@ -271,8 +272,8 @@ def _simulate_regions(args, config) -> int:
             "point", trace.resolve(), config_to_dict(config),
             Path(work) / "point.json", engine=args.engine)
         try:
-            reducer = RegionReducer(base, plan)
-            for unit in region_units(base, plan):
+            reducer = PartitionReducer(base, plan)
+            for unit in partition_units(base, plan):
                 reducer.add(execute_unit(unit))
             merged = reducer.merged()
         except TraceFileError as error:
@@ -665,11 +666,12 @@ def cmd_worker(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """``resim stats merge A.json B.json ...`` — the shard reducer,
-    standalone: merge per-shard (or per-region) result documents into
-    one statistics document."""
+    """``resim stats merge A.json B.json ...`` — the partition merge,
+    standalone: merge per-shard result documents into one exact
+    statistics document, or per-region result documents into one
+    weighted estimate (marked ``sampled``)."""
     import json as _json
-    from repro.exec import ExecError, merge_result_documents
+    from repro.exec import ExecError, merge_documents
     from repro.serialize import stats_from_dict
 
     documents = []
@@ -683,12 +685,13 @@ def cmd_stats(args) -> int:
             raise SystemExit(f"{path}: not valid JSON ({error})") from error
         documents.append(payload)
     try:
-        merged = merge_result_documents(documents)
+        merged = merge_documents(documents)
     except ExecError as error:
         raise SystemExit(str(error)) from error
     stats = stats_from_dict(merged["stats"])
+    kind = "region" if "sampled" in merged else "shard"
     print(f"merged {len(documents)} result document(s) "
-          f"({len(merged['stats']['shards'] or ())} shard(s))")
+          f"({len(merged['stats']['shards'] or ())} {kind}(s))")
     print(stats.report())
     if args.output:
         text = _json.dumps(merged, indent=2, sort_keys=True)
@@ -1089,11 +1092,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser(
         "stats",
-        help="statistics utilities: merge shard result documents")
+        help="statistics utilities: merge shard or region result "
+             "documents")
     stats.add_argument("action", choices=("merge",),
                        help="operation (currently only 'merge')")
     stats.add_argument("files", nargs="+", metavar="RESULT_JSON",
-                       help="per-shard result documents to reduce")
+                       help="per-shard or per-region result documents "
+                            "to reduce")
     stats.add_argument("--output", "-o", default=None,
                        help="write the merged document here")
     stats.set_defaults(func=cmd_stats)

@@ -9,7 +9,7 @@ register width, wrapping modulo 2^64 exactly as the hardware would.
 
 Statistics are *mergeable*: :meth:`SimulationStatistics.merge` reduces
 the per-shard results of a design point that was split into segment
-ranges (see :mod:`repro.exec.shard`) into one document — counters sum
+ranges (see :mod:`repro.exec.partition`) into one document — counters sum
 (modulo 2^64, like the registers they model), occupancy samplers pool
 their raw ``(total, samples)`` state so the merged average is the
 cycle-weighted mean of the shards, derived rates (IPC, misprediction
@@ -20,8 +20,8 @@ how the result was produced.
 Merges may be **weighted** (``merge(weights=...)``): each part's
 counter contributions scale by a non-negative *integer* weight before
 summing (still modulo 2^64), and samplers pool weight-scaled raw
-state.  Weight 1 on every part is bit-identical to the unweighted
-merge; weight 0 erases a part.  Region-sampled simulation
+state.  The unweighted merge is weight 1 on every part; weight 0
+erases a part.  Region-sampled simulation
 (:mod:`repro.exec.regions`) uses this to extrapolate a cluster of
 statistically similar trace segments from one simulated
 representative.  Weights are integers by contract — resim-lint rule
@@ -124,21 +124,25 @@ class OccupancySampler:
         """
         return (self.total, self.samples)
 
-    def merge(self, others: Iterable[OccupancySampler]
-              ) -> OccupancySampler:
+    def merge(self, others: Iterable[OccupancySampler],
+              weights: Sequence[int] | None = None) -> OccupancySampler:
         """Pool this sampler with others into a new sampler.
 
         Totals and sample counts add (every part sampled once per
         cycle, so the pooled average weights each part by its cycles);
-        the peak is the maximum of the parts' peaks.
+        the peak is the maximum of the parts' peaks.  ``weights`` (one
+        per part, ``self`` first; all ones when None) scale each
+        part's raw state, and a zero-weight part's peak is ignored.
         """
-        total, samples, peak = self.total, self.samples, self.peak
-        for other in others:
-            other_total, other_samples = other.raw()
-            total += other_total
-            samples += other_samples
-            if other.peak > peak:
-                peak = other.peak
+        parts = (self, *others)
+        total = samples = peak = 0
+        scale = [1] * len(parts) if weights is None else weights
+        for weight, part in zip(scale, parts, strict=True):
+            part_total, part_samples = part.raw()
+            total += weight * part_total
+            samples += weight * part_samples
+            if weight and part.peak > peak:
+                peak = part.peak
         return OccupancySampler(total=total, samples=samples, peak=peak)
 
 
@@ -222,10 +226,10 @@ class SimulationStatistics:
         first) scales each part's contribution: counters add
         ``weight * value`` (still modulo 2^64), samplers pool
         ``weight``-scaled raw state, and a zero-weight part's peaks
-        are ignored.  ``weights=None`` and all-ones weights are
-        bit-identical — weighting strictly generalizes the exact
-        merge.  Region-sampled runs use weights to extrapolate a
-        cluster of similar trace segments from one representative.
+        are ignored.  ``weights=None`` *is* all-ones weights (one code
+        path, so the two are bit-identical): the exact merge.
+        Region-sampled runs use weights to extrapolate a cluster of
+        similar trace segments from one representative.
 
         Merging with no ``others`` and no ``shards`` is the identity
         (a copy that compares equal to ``self``).  Which counters of a
@@ -234,34 +238,20 @@ class SimulationStatistics:
         in :mod:`repro.exec.shard`.
         """
         parts = (self, *others)
-        scale = (None if weights is None
-                 else _validate_weights(weights, len(parts)))
+        scale = _validate_weights(
+            [1] * len(parts) if weights is None else weights, len(parts))
         merged = SimulationStatistics()
         for spec in fields(self):
             if spec.name == "shards":
                 continue
             values = [getattr(part, spec.name) for part in parts]
             if isinstance(values[0], Counter64):
-                if scale is None:
-                    setattr(merged, spec.name,
-                            Counter64(sum(int(value) for value in values)))
-                else:
-                    setattr(merged, spec.name, Counter64(
-                        sum(weight * int(value) for weight, value
-                            in zip(scale, values, strict=True))))
-            elif scale is None:
-                setattr(merged, spec.name, values[0].merge(values[1:]))
+                setattr(merged, spec.name, Counter64(
+                    sum(weight * int(value) for weight, value
+                        in zip(scale, values, strict=True))))
             else:
-                total = samples = peak = 0
-                for weight, value in zip(scale, values, strict=True):
-                    part_total, part_samples = value.raw()
-                    total += weight * part_total
-                    samples += weight * part_samples
-                    if weight and value.peak > peak:
-                        peak = value.peak
                 setattr(merged, spec.name,
-                        OccupancySampler(total=total, samples=samples,
-                                         peak=peak))
+                        values[0].merge(values[1:], weights=scale))
         if shards is not None:
             merged.shards = [dict(entry) for entry in shards]
         else:

@@ -16,15 +16,16 @@ pieces:
 * :class:`~repro.exec.queue.DirectoryQueueBackend` + ``resim worker``
   (:mod:`repro.exec.worker`) — multi-host execution over a shared
   filesystem with crash-tolerant atomic-rename leases;
-* :class:`~repro.exec.shard.ShardPlan` /
-  :class:`~repro.exec.shard.ShardReducer` (:mod:`repro.exec.shard`) —
-  split one design point into segment-range shard units and merge
-  their statistics back into one point result;
-* :class:`~repro.exec.regions.RegionPlan` /
-  :class:`~repro.exec.regions.RegionReducer`
-  (:mod:`repro.exec.regions`) — region-sampled execution: simulate
-  one warmup-prefixed representative range per behaviour cluster and
-  extrapolate the full-trace statistics through the weighted merge.
+* :class:`~repro.exec.partition.Partition` /
+  :class:`~repro.exec.partition.PartitionReducer`
+  (:mod:`repro.exec.partition`) — the one partition layer: split a
+  design point into segment-range slice units and merge their
+  statistics back into one point result.  A partition is either
+  exact (:func:`~repro.exec.shard.plan_shards`: shards, i.e. weight-1
+  slices with no warmup that tile the trace) or sampled
+  (:func:`~repro.exec.regions.plan_regions`: one weighted,
+  warmup-prefixed representative region per behaviour cluster, whose
+  merge extrapolates the full-trace statistics).
 
 Backends are named in :data:`~repro.exec.backends.BACKENDS`.  Because
 work units are deterministic and results are written atomically,
@@ -45,25 +46,21 @@ from repro.exec.queue import (
     queue_paths,
     reclaim_stale,
 )
+from repro.exec.partition import (
+    Partition,
+    PartitionReducer,
+    Slice,
+    merge_documents,
+    partition_units,
+)
 from repro.exec.regions import (
     DEFAULT_REGIONS,
     DEFAULT_WARMUP_SEGMENTS,
     IPC_ERROR_BOUND,
-    Region,
-    RegionPlan,
-    RegionReducer,
-    merge_region_documents,
     plan_regions,
     region_units,
 )
-from repro.exec.shard import (
-    EXACT_SUM_COUNTERS,
-    ShardPlan,
-    ShardReducer,
-    merge_result_documents,
-    plan_shards,
-    shard_units,
-)
+from repro.exec.shard import EXACT_SUM_COUNTERS, plan_shards
 from repro.exec.unit import (
     ExecError,
     RESULT_SCHEMA,
@@ -88,14 +85,12 @@ __all__ = [
     "ExecutionBackend",
     "IPC_ERROR_BOUND",
     "LeaseHeartbeat",
+    "Partition",
+    "PartitionReducer",
     "ProcessPoolBackend",
     "RESULT_SCHEMA",
-    "Region",
-    "RegionPlan",
-    "RegionReducer",
     "SerialBackend",
-    "ShardPlan",
-    "ShardReducer",
+    "Slice",
     "UnitExecutionError",
     "WorkUnit",
     "atomic_write_json",
@@ -103,13 +98,13 @@ __all__ = [
     "error_document",
     "execute_unit",
     "load_unit_result",
-    "merge_region_documents",
-    "merge_result_documents",
+    "merge_documents",
+    "partition_units",
     "plan_regions",
     "plan_shards",
     "queue_paths",
     "reclaim_stale",
+    "region_units",
     "result_matches_unit",
     "run_worker",
-    "shard_units",
 ]

@@ -446,7 +446,14 @@ class DirectoryQueueBackend(ExecutionBackend):
             self._ensure_workers(paths)
             if self.timeout is not None and \
                     time.monotonic() - last_progress > self.timeout:
-                if self._live_lease(paths):
+                # A unit may have finished after this pass's scan (its
+                # lease already completed, by its worker or by the
+                # reclaim above): the next pass collects it.
+                finished = any(
+                    result_matches_unit(
+                        load_unit_result(unit.result_path), unit)
+                    for unit in outstanding.values())
+                if finished or self._live_lease(paths):
                     # A worker is still heartbeating a claimed unit:
                     # slow is not dead.  Timeout only when nothing
                     # completes AND nobody is provably working.

@@ -41,10 +41,9 @@ RESULT_SCHEMA = 1
 
 #: Keys the executor itself writes into a result document; tags may
 #: not shadow them (a tag silently overwriting "stats" would corrupt
-#: every consumer downstream).  "sharded" belongs to the shard
-#: reducer (:mod:`repro.exec.shard`) and "sampled" to the region
-#: reducer (:mod:`repro.exec.regions`); each stamps its key on the
-#: merged point documents it emits.
+#: every consumer downstream).  "sharded" and "sampled" are the
+#: markers the partition merge (:mod:`repro.exec.partition`) stamps
+#: on exact and sampled merged point documents.
 RESERVED_RESULT_KEYS = frozenset(
     ("schema", "unit_id", "spec", "config", "stats", "error",
      "sharded", "sampled"))

@@ -62,19 +62,16 @@ from repro.exec import (
     DEFAULT_REGIONS,
     DEFAULT_WARMUP_SEGMENTS,
     ExecutionBackend,
+    Partition,
+    PartitionReducer,
     ProcessPoolBackend,
-    RegionPlan,
-    RegionReducer,
     SerialBackend,
-    ShardPlan,
-    ShardReducer,
     UnitExecutionError,
     WorkUnit,
     load_unit_result,
+    partition_units,
     plan_regions,
     plan_shards,
-    region_units,
-    shard_units,
 )
 from repro.exec.unit import result_matches_unit
 from repro.serialize import (
@@ -167,7 +164,7 @@ class SweepRunner:
     shards:
         Split every design point into this many segment-range shard
         units (``resim sweep --shards N``), fanned through the same
-        backend and merged by a :class:`~repro.exec.ShardReducer` —
+        backend and merged by a :class:`~repro.exec.PartitionReducer` —
         intra-point parallelism for grids smaller than the worker
         pool.  Exact-sum counters of the merged result equal the
         monolithic run's; cycle-derived metrics are approximate (see
@@ -259,8 +256,7 @@ class SweepRunner:
         self.region_seed = region_seed
         self.region_warmup = region_warmup
         self._traces: dict[str, _TraceInfo] = {}
-        self._plans: dict[str, ShardPlan] = {}
-        self._region_plans: dict[str, RegionPlan] = {}
+        self._partitions: dict[str, Partition | None] = {}
 
     # -- trace management ---------------------------------------------
 
@@ -412,32 +408,28 @@ class SweepRunner:
             return None
         return payload
 
-    # -- sharding ------------------------------------------------------
+    # -- partitioning --------------------------------------------------
 
-    def _plan_for(self, trace: _TraceInfo) -> ShardPlan:
-        """Memoizing shard planner: one trace file is probed (and its
-        clean boundaries found) once per runner, shared by every
-        design point simulated over it."""
+    def _partition_for(self, trace: _TraceInfo) -> Partition | None:
+        """Memoizing planner: how every design point over ``trace``
+        splits — sampled regions, exact shards, or ``None`` (run
+        monolithic, without touching the trace file).  One trace is
+        probed (and, when sampling, profiled — reusing a digest-fresh
+        ``.rprof`` sidecar — and clustered) once per runner: the plan
+        depends only on the trace, not the config."""
         key = str(trace.path)
-        if key not in self._plans:
-            self._plans[key] = plan_shards(trace.path, self.shards)
-        return self._plans[key]
-
-    # -- region sampling -----------------------------------------------
-
-    def _region_plan_for(self, trace: _TraceInfo) -> RegionPlan:
-        """Memoizing region planner: one trace is profiled (reusing a
-        digest-fresh ``.rprof`` sidecar when present) and clustered
-        once per runner, shared by every design point simulated over
-        it — the plan depends only on the trace, not the config."""
-        key = str(trace.path)
-        if key not in self._region_plans:
-            profile = ensure_profile(trace.path)
-            self._region_plans[key] = plan_regions(
-                trace.path, profile, regions=self.regions,
-                seed=self.region_seed,
-                warmup_segments=self.region_warmup)
-        return self._region_plans[key]
+        if key not in self._partitions:
+            if self.sampling == "regions":
+                self._partitions[key] = plan_regions(
+                    trace.path, ensure_profile(trace.path),
+                    regions=self.regions, seed=self.region_seed,
+                    warmup_segments=self.region_warmup)
+            elif self.shards > 1:
+                self._partitions[key] = plan_shards(trace.path,
+                                                    self.shards)
+            else:
+                self._partitions[key] = None
+        return self._partitions[key]
 
     # -- unit building -------------------------------------------------
 
@@ -486,8 +478,8 @@ class SweepRunner:
         outcomes: dict[str, SweepOutcome] = {}
         units: list[WorkUnit] = []
         by_id: dict[str, SweepPoint] = {}
-        reducers: dict[str, ShardReducer | RegionReducer] = {}
-        shard_point: dict[str, str] = {}  # split unit id -> point key
+        reducers: dict[str, PartitionReducer] = {}
+        slice_point: dict[str, str] = {}  # slice unit id -> point key
 
         def finish(point: SweepPoint, payload: dict,
                    from_checkpoint: bool) -> None:
@@ -512,45 +504,36 @@ class SweepRunner:
                 continue
             by_id[point.key] = point
             base_unit = self._unit_for(point, trace, provenance)
-            reducer: ShardReducer | RegionReducer
-            if self.sampling == "regions":
-                # Sampled: every point runs as region units — even a
-                # one-region plan stays an estimate (its checkpoint
-                # carries the "sampled" marker), never a full replay.
-                region_plan = self._region_plan_for(trace)
-                reducer = RegionReducer(base_unit, region_plan)
-                split = region_units(base_unit, region_plan)
-            else:
-                plan = self._plan_for(trace) if self.shards > 1 \
-                    else None
-                if plan is None or plan.shards == 1:
-                    # Monolithic (or unsplittable trace):
-                    # bit-identical to the pre-shard path, including
-                    # the unit's identity.
-                    units.append(base_unit)
-                    continue
-                reducer = ShardReducer(base_unit, plan)
-                split = shard_units(base_unit, plan)
+            partition = self._partition_for(trace)
+            # An exact one-shard plan (or none) runs monolithic,
+            # bit-identical to the pre-shard path including the
+            # unit's identity; a sampled plan always splits — even a
+            # one-region plan stays an estimate, never a full replay.
+            if partition is None or (partition.count == 1
+                                     and not partition.sampled):
+                units.append(base_unit)
+                continue
+            reducer = PartitionReducer(base_unit, partition)
             # Split (sharded or sampled): per-slice results are
             # checkpoints too — reuse the ones a previous
             # (interrupted) run already computed and submit only the
             # missing slices.
             pending = []
-            for shard_unit in split:
-                existing = load_unit_result(shard_unit.result_path)
+            for slice_unit in partition_units(base_unit, partition):
+                existing = load_unit_result(slice_unit.result_path)
                 if existing is not None and "error" not in existing \
-                        and result_matches_unit(existing, shard_unit):
+                        and result_matches_unit(existing, slice_unit):
                     reducer.add(existing)
                 else:
-                    pending.append(shard_unit)
+                    pending.append(slice_unit)
             if not pending:
                 finish(point, reducer.write(), from_checkpoint=True)
                 del by_id[point.key]
                 continue
             reducers[point.key] = reducer
-            for shard_unit in pending:
-                shard_point[shard_unit.unit_id] = point.key
-                units.append(shard_unit)
+            for slice_unit in pending:
+                slice_point[slice_unit.unit_id] = point.key
+                units.append(slice_unit)
 
         if units:
             def collect(unit: WorkUnit, payload: dict) -> None:
@@ -560,7 +543,7 @@ class SweepRunner:
                         unit.unit_id,
                         f"{error.get('type')}: {error.get('message')}")
                     return
-                point_key = shard_point.get(unit.unit_id)
+                point_key = slice_point.get(unit.unit_id)
                 if point_key is None:
                     finish(by_id[unit.unit_id], payload,
                            from_checkpoint=False)

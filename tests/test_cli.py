@@ -291,6 +291,33 @@ class TestShardedCli:
         assert merged["stats"] == \
             json.loads(checkpoint.read_text())["stats"]
 
+    def test_stats_merge_of_region_documents_is_weighted(
+            self, tmp_path, capsys):
+        """Region documents merge as a weighted estimate marked
+        `sampled`: standalone, they reduce to exactly the statistics
+        the sweep's in-process reducer wrote as the checkpoint (an
+        unweighted merge would count each representative once)."""
+        assert main(["sweep", "gzip", "--rob", "16", "--budget",
+                     BUDGET, "--segment-records", "64",
+                     "--sample-regions", "4", "--region-warmup", "0",
+                     "--results-dir", str(tmp_path / "sw")]) == 0
+        capsys.readouterr()
+        region_files = sorted(
+            str(path) for path in (tmp_path / "sw").glob("*.r*of*.json"))
+        assert len(region_files) >= 2
+        merged_path = tmp_path / "merged.json"
+        assert main(["stats", "merge", *region_files,
+                     "--output", str(merged_path)]) == 0
+        assert "merged from regions" in capsys.readouterr().out
+        merged = json.loads(merged_path.read_text())
+        checkpoint = json.loads(next(
+            path for path in (tmp_path / "sw").glob("*.json")
+            if ".r" not in path.name
+            and path.name != "sweep.json").read_text())
+        assert "sharded" not in merged
+        assert merged["sampled"] == checkpoint["sampled"]
+        assert merged["stats"] == checkpoint["stats"]
+
     def test_stats_merge_rejects_mixed_points(self, tmp_path, capsys):
         assert main(["sweep", "gzip", "--rob", "8,16", "--budget",
                      BUDGET, "--results-dir",

@@ -383,6 +383,31 @@ class TestDirectoryQueue:
             thread.join()
         assert "stats" in results["rob16"]
 
+    def test_result_landing_after_the_scan_is_not_a_timeout(
+            self, trace_file, tmp_path, monkeypatch):
+        """A unit that finishes between a pass's result scan and its
+        timeout check (its lease already completed, so no live lease
+        remains) is collected on the next pass, not reported as a
+        timeout."""
+        import repro.exec.queue as queue_module
+        paths = queue_paths(tmp_path / "queue")
+        unit = make_unit(trace_file, tmp_path, rob=16)
+        enqueue(paths, unit)
+        assert claim_next(paths) is not None
+        reclaim = queue_module.reclaim_stale
+
+        def finish_then_reclaim(queue, lease_seconds):
+            if load_unit_result(unit.result_path) is None:
+                execute_unit(unit)  # the claimant finishes right now
+            return reclaim(queue, lease_seconds)
+
+        monkeypatch.setattr(queue_module, "reclaim_stale",
+                            finish_then_reclaim)
+        backend = DirectoryQueueBackend(
+            tmp_path / "queue", workers=0, poll_seconds=0.02,
+            timeout=1e-9, lease_seconds=60)
+        assert "stats" in backend.run_units([unit])["rob16"]
+
     def test_stale_result_for_different_spec_not_revived(
             self, trace_file, tmp_path):
         """A result file produced by a *different* unit at the same
@@ -458,11 +483,10 @@ class TestDirectoryQueue:
 
 from repro.exec import (  # noqa: E402  (grouped with their tests)
     EXACT_SUM_COUNTERS,
-    ShardPlan,
-    ShardReducer,
-    merge_result_documents,
+    PartitionReducer,
+    merge_documents,
+    partition_units,
     plan_shards,
-    shard_units,
 )
 from repro.trace.fileio import read_segment_table  # noqa: E402
 from repro.trace.fileio import iter_trace_records  # noqa: E402
@@ -488,7 +512,7 @@ class TestShardPlan:
     def test_ranges_partition_the_segment_table(self, segmented_trace):
         table = read_segment_table(segmented_trace)
         plan = plan_shards(segmented_trace, 4)
-        assert plan.shards == 4
+        assert plan.count == 4
         assert plan.ranges[0][0] == 0
         assert plan.ranges[-1][1] == len(table)
         for (_, hi), (lo, _) in zip(plan.ranges, plan.ranges[1:], strict=False):
@@ -509,19 +533,19 @@ class TestShardPlan:
     def test_shards_balanced_by_records(self, segmented_trace):
         plan = plan_shards(segmented_trace, 4)
         ideal = plan.total_records / 4
-        for count in plan.records:
+        for count in (piece.records for piece in plan.slices):
             # Clean snapping moves cuts by about a segment, no more.
             assert abs(count - ideal) <= 3 * 64
 
     def test_more_shards_than_segments_clamps(self, segmented_trace):
         table = read_segment_table(segmented_trace)
         plan = plan_shards(segmented_trace, 10_000)
-        assert plan.shards <= len(table)
-        assert all(count > 0 for count in plan.records)
+        assert plan.count <= len(table)
+        assert all(piece.records > 0 for piece in plan.slices)
 
     def test_single_shard_and_bad_count(self, segmented_trace):
         plan = plan_shards(segmented_trace, 1)
-        assert plan.shards == 1
+        assert plan.count == 1
         with pytest.raises(ExecError, match="shards must be >= 1"):
             plan_shards(segmented_trace, 0)
 
@@ -533,7 +557,7 @@ class TestShardPlan:
         path = tmp_path / "v1.rtrc"
         write_trace_file(path, generation.records, version=1)
         plan = plan_shards(path, 4)  # cannot split a v1 payload
-        assert plan.shards == 1
+        assert plan.count == 1
 
 
 class TestShardPlanAdversarial:
@@ -637,7 +661,7 @@ class TestShardUnits:
                                                tmp_path):
         base = make_base_unit(segmented_trace, tmp_path)
         plan = plan_shards(segmented_trace, 3)
-        units = shard_units(base, plan)
+        units = partition_units(base, plan)
         assert [u.spec["segments"] for u in units] == \
             [list(span) for span in plan.ranges]
         for index, unit in enumerate(units):
@@ -657,7 +681,7 @@ class TestShardUnits:
             "shard", segmented_trace, "4wide-perfect",
             tmp_path / "s.json", segments=(0, 2))
         with pytest.raises(ExecError, match="already segment"):
-            shard_units(base, plan_shards(segmented_trace, 2))
+            partition_units(base, plan_shards(segmented_trace, 2))
 
     def test_sharded_result_key_is_reserved(self, tmp_path):
         with pytest.raises(ExecError, match="may not shadow"):
@@ -672,8 +696,8 @@ class TestShardReducer:
         base = make_base_unit(segmented_trace, tmp_path)
         monolithic = execute_unit(base)
         plan = plan_shards(segmented_trace, 4)
-        reducer = ShardReducer(base, plan)
-        for unit in shard_units(base, plan):
+        reducer = PartitionReducer(base, plan)
+        for unit in partition_units(base, plan):
             reducer.add(execute_unit(unit))
         assert reducer.complete
         merged = reducer.write()
@@ -694,8 +718,8 @@ class TestShardReducer:
                                              tmp_path):
         base = make_base_unit(segmented_trace, tmp_path, uid="ooo")
         plan = plan_shards(segmented_trace, 2)
-        payloads = [execute_unit(u) for u in shard_units(base, plan)]
-        reducer = ShardReducer(base, plan)
+        payloads = [execute_unit(u) for u in partition_units(base, plan)]
+        reducer = PartitionReducer(base, plan)
         reducer.add(payloads[1])  # any order
         with pytest.raises(ExecError, match="not collected yet"):
             reducer.merged()
@@ -708,20 +732,20 @@ class TestShardReducer:
             self, segmented_trace, tmp_path):
         base = make_base_unit(segmented_trace, tmp_path, uid="bad")
         plan = plan_shards(segmented_trace, 2)
-        reducer = ShardReducer(base, plan)
+        reducer = PartitionReducer(base, plan)
         with pytest.raises(ExecError, match="no shard tag"):
             reducer.add(execute_unit(base))  # monolithic result
         other_plan_payload = execute_unit(
-            shard_units(make_base_unit(segmented_trace, tmp_path,
-                                       uid="other"),
-                        plan_shards(segmented_trace, 3))[0])
+            partition_units(make_base_unit(segmented_trace, tmp_path,
+                                           uid="other"),
+                            plan_shards(segmented_trace, 3))[0])
         with pytest.raises(ExecError, match="does not belong"):
             reducer.add(other_plan_payload)
         # Same shard count, different unit: still refused — a shard
         # of another design point must never fold into this one.
         foreign_unit_payload = execute_unit(
-            shard_units(make_base_unit(segmented_trace, tmp_path,
-                                       uid="foreign"), plan)[0])
+            partition_units(make_base_unit(segmented_trace, tmp_path,
+                                           uid="foreign"), plan)[0])
         with pytest.raises(ExecError, match="does not belong"):
             reducer.add(foreign_unit_payload)
 
@@ -732,32 +756,32 @@ class TestShardReducer:
         standalone reducer must refuse, not average them."""
         base = make_base_unit(segmented_trace, tmp_path, uid="runa")
         plan = plan_shards(segmented_trace, 2)
-        units = shard_units(base, plan)
+        units = partition_units(base, plan)
         good = execute_unit(units[0])
         other = dict(execute_unit(units[1]))
         other_spec = dict(other["spec"])
         other_spec["budget"] = 99_999  # same config, different run
         other["spec"] = other_spec
         with pytest.raises(ExecError, match="different runs"):
-            merge_result_documents([good, other])
+            merge_documents([good, other])
 
     def test_merge_refuses_errors_and_mixed_configs(
             self, segmented_trace, tmp_path):
         base = make_base_unit(segmented_trace, tmp_path, uid="mix")
         plan = plan_shards(segmented_trace, 2)
-        units = shard_units(base, plan)
+        units = partition_units(base, plan)
         good = execute_unit(units[0])
         from repro.exec.unit import error_document
         failed = error_document(units[1], ValueError("boom"))
         with pytest.raises(ExecError, match="failed shard"):
-            merge_result_documents([good, failed])
+            merge_documents([good, failed])
         other_config = replace(PAPER_4WIDE_PERFECT, rob_entries=8)
         foreign = dict(good)
         foreign["config"] = config_to_dict(other_config)
         with pytest.raises(ExecError, match="different design points"):
-            merge_result_documents([good, foreign])
+            merge_documents([good, foreign])
         with pytest.raises(ExecError, match="nothing to merge"):
-            merge_result_documents([])
+            merge_documents([])
 
     def test_standalone_merge_composes_associatively(
             self, segmented_trace, tmp_path):
@@ -766,10 +790,10 @@ class TestShardReducer:
         statistics."""
         base = make_base_unit(segmented_trace, tmp_path, uid="assoc")
         plan = plan_shards(segmented_trace, 3)
-        payloads = [execute_unit(u) for u in shard_units(base, plan)]
-        flat = merge_result_documents(payloads)
-        nested = merge_result_documents(
-            [merge_result_documents(payloads[:2]), payloads[2]])
+        payloads = [execute_unit(u) for u in partition_units(base, plan)]
+        flat = merge_documents(payloads)
+        nested = merge_documents(
+            [merge_documents(payloads[:2]), payloads[2]])
         assert flat["stats"] == nested["stats"]
         assert len(nested["stats"]["shards"]) == 3
 
@@ -786,7 +810,7 @@ class TestShardedQueueFaultTolerance:
                              segment_records=2048)
         base = make_base_unit(trace, tmp_path, uid="victim")
         plan = plan_shards(trace, 2)
-        units = shard_units(base, plan)
+        units = partition_units(base, plan)
         reference = [execute_unit(unit) for unit in units]
         for unit in units:  # forget the reference runs' files
             Path(unit.result_path).unlink()
@@ -818,13 +842,13 @@ class TestShardedQueueFaultTolerance:
         processed = run_worker(paths.root, exit_when_drained=True,
                                poll_seconds=0.02, lease_seconds=60)
         assert processed == 2
-        reducer = ShardReducer(base, plan)
+        reducer = PartitionReducer(base, plan)
         for unit in units:
             payload = load_unit_result(unit.result_path)
             assert payload is not None and "error" not in payload
             reducer.add(payload)
         merged = reducer.merged()
-        undisturbed = merge_result_documents(
+        undisturbed = merge_documents(
             reference, unit_id=base.unit_id,
             spec=dict(base.spec), tags=dict(base.tags))
         assert merged == undisturbed

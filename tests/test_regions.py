@@ -23,15 +23,15 @@ from repro.core.config import PAPER_4WIDE_PERFECT
 from repro.serialize import stats_from_dict
 from repro.exec import (
     ExecError,
-    RegionPlan,
-    RegionReducer,
+    Partition,
+    PartitionReducer,
     WorkUnit,
     execute_unit,
-    merge_region_documents,
+    merge_documents,
+    partition_units,
     plan_regions,
-    region_units,
 )
-from repro.exec.regions import IPC_ERROR_BOUND, region_unit_id
+from repro.exec.regions import IPC_ERROR_BOUND
 from repro.serve.canon import cache_key
 from repro.trace import ensure_profile, trace_content_digest
 from repro.workloads.tracegen import write_workload_trace
@@ -74,8 +74,8 @@ def full_result(trace, tmp_path_factory):
 @pytest.fixture(scope="module")
 def sampled_result(trace, plan, tmp_path_factory):
     work = tmp_path_factory.mktemp("sampled")
-    reducer = RegionReducer(_unit(trace, work), plan)
-    for unit in region_units(_unit(trace, work), plan):
+    reducer = PartitionReducer(_unit(trace, work), plan)
+    for unit in partition_units(_unit(trace, work), plan):
         reducer.add(execute_unit(unit))
     return reducer.merged()
 
@@ -87,13 +87,13 @@ class TestPlanning:
     def test_seed_is_part_of_the_function(self, trace, profile, plan):
         reseeded = plan_regions(trace, profile, regions=8, seed=1)
         assert reseeded.seed == 1
-        assert sum(r.weight for r in reseeded.regions) == \
+        assert sum(r.weight for r in reseeded.slices) == \
             reseeded.total_segments
 
     def test_weights_partition_the_segments(self, plan):
-        assert sum(r.weight for r in plan.regions) == \
+        assert sum(r.weight for r in plan.slices) == \
             plan.total_segments
-        for region in plan.regions:
+        for region in plan.slices:
             assert region.warm_lo <= region.lo < region.hi
 
     def test_plan_records_the_trace_identity(self, trace, plan):
@@ -106,26 +106,26 @@ class TestPlanning:
             plan_regions(trace, profile, warmup_segments=-1)
 
     def test_weights_must_partition(self, plan):
-        regions = plan.regions
+        regions = plan.slices
         broken = regions[0].__class__(
             **{**regions[0].__dict__, "weight": regions[0].weight + 1})
         with pytest.raises(ExecError, match="sum"):
-            RegionPlan(trace_path=plan.trace_path,
-                       trace_digest=plan.trace_digest, seed=plan.seed,
-                       total_segments=plan.total_segments,
-                       total_records=plan.total_records,
-                       regions=(broken, *regions[1:]))
+            Partition(trace_path=plan.trace_path,
+                      trace_digest=plan.trace_digest, seed=plan.seed,
+                      total_segments=plan.total_segments,
+                      total_records=plan.total_records,
+                      slices=(broken, *regions[1:]), sampled=True)
 
 
 class TestRegionUnits:
     def test_units_carry_slice_warmup_and_weight(self, trace, plan,
                                                  tmp_path):
         base = _unit(trace, tmp_path)
-        units = region_units(base, plan)
+        units = partition_units(base, plan)
         assert len(units) == plan.count
-        for unit, region in zip(units, plan.regions, strict=True):
-            assert unit.unit_id == region_unit_id(
-                base.unit_id, region.index, plan.count)
+        for unit, region in zip(units, plan.slices, strict=True):
+            assert unit.unit_id == \
+                f"{base.unit_id}.r{region.index}of{plan.count}"
             assert unit.spec["segments"] == [region.warm_lo, region.hi]
             if region.warmup_instructions:
                 assert unit.spec["warmup_instructions"] == \
@@ -137,7 +137,7 @@ class TestRegionUnits:
                                     tmp_path / "point.json",
                                     segments=(0, 2))
         with pytest.raises(ExecError, match="segments"):
-            region_units(sliced, plan)
+            partition_units(sliced, plan)
 
 
 class TestConformance:
@@ -167,8 +167,8 @@ class TestConformance:
 
     def test_sampled_merge_is_deterministic(self, trace, plan,
                                             sampled_result, tmp_path):
-        reducer = RegionReducer(_unit(trace, tmp_path), plan)
-        for unit in region_units(_unit(trace, tmp_path), plan):
+        reducer = PartitionReducer(_unit(trace, tmp_path), plan)
+        for unit in partition_units(_unit(trace, tmp_path), plan):
             reducer.add(execute_unit(unit))
         again = reducer.merged()
         assert again["stats"] == sampled_result["stats"]
@@ -184,7 +184,7 @@ class TestCacheKeying:
         full_key = cache_key(base.spec, trace_digest=digest)
         region_keys = {
             cache_key(unit.spec, trace_digest=digest)
-            for unit in region_units(base, plan)
+            for unit in partition_units(base, plan)
         }
         assert full_key not in region_keys
         assert len(region_keys) == plan.count  # pairwise distinct too
@@ -193,23 +193,42 @@ class TestCacheKeying:
 class TestMergeValidation:
     def test_incomplete_reducer_refuses_to_merge(self, trace, plan,
                                                  tmp_path):
-        reducer = RegionReducer(_unit(trace, tmp_path), plan)
+        reducer = PartitionReducer(_unit(trace, tmp_path), plan)
         assert not reducer.complete
         with pytest.raises(ExecError):
             reducer.merged()
 
     def test_weightless_document_refused(self, trace, plan, tmp_path):
-        unit = region_units(_unit(trace, tmp_path), plan)[0]
-        payload = execute_unit(unit)
-        stripped = {key: value for key, value in payload.items()
+        units = partition_units(_unit(trace, tmp_path), plan)
+        payload = execute_unit(units[0])
+        stripped = {**payload, "region": {
+            key: value for key, value in payload["region"].items()
+            if key != "weight"}}
+        with pytest.raises(ExecError, match="weight"):
+            merge_documents([stripped])
+        # A region result never merges with an untagged one either:
+        # the set is a sampled estimate, so every part needs a weight.
+        untagged = {key: value for key, value in payload.items()
                     if key != "region"}
         with pytest.raises(ExecError, match="weight"):
-            merge_region_documents([stripped])
+            merge_documents([untagged, execute_unit(units[1])])
+
+    def test_sampled_estimate_is_not_a_mergeable_part(
+            self, sampled_result):
+        with pytest.raises(ExecError, match="sampled estimate"):
+            merge_documents([sampled_result])
+
+    def test_exact_partition_slices_are_unweighted(self, plan):
+        with pytest.raises(ExecError, match="weight 1"):
+            Partition(trace_path=plan.trace_path,
+                      total_segments=plan.total_segments,
+                      total_records=plan.total_records,
+                      slices=plan.slices)
 
     def test_mixed_configurations_refused(self, trace, plan,
                                           tmp_path):
         base = _unit(trace, tmp_path)
-        units = region_units(base, plan)
+        units = partition_units(base, plan)
         first = execute_unit(units[0])
         other_unit = WorkUnit(
             unit_id=units[1].unit_id,
@@ -218,8 +237,8 @@ class TestMergeValidation:
             tags=units[1].tags)
         second = execute_unit(other_unit)
         with pytest.raises(ExecError, match="configuration"):
-            merge_region_documents([first, second])
+            merge_documents([first, second])
 
     def test_empty_merge_refused(self):
         with pytest.raises(ExecError, match="nothing"):
-            merge_region_documents([])
+            merge_documents([])

@@ -107,7 +107,13 @@ class FileContext:
         self.module = module
         self.source = source
         self.tree = ast.parse(source)  # SyntaxError handled by runner
+        # One walk attaches parent links and builds the by-type index
+        # :meth:`walk` serves from (lists keep ast.walk order).
+        self._nodes: list[ast.AST] = []
+        self._by_type: dict[type, list[ast.AST]] = {}
         for node in ast.walk(self.tree):
+            self._nodes.append(node)
+            self._by_type.setdefault(type(node), []).append(node)
             for child in ast.iter_child_nodes(node):
                 child._resim_parent = node  # type: ignore[attr-defined]
         self.suppressions = _parse_suppressions(source)
@@ -125,10 +131,13 @@ class FileContext:
             current = self.parent(current)
 
     def walk(self, *types: type) -> Iterator[ast.AST]:
-        """Every node in the file, optionally filtered by type."""
-        for node in ast.walk(self.tree):
-            if not types or isinstance(node, types):
-                yield node
+        """Every node in the file, optionally filtered by type
+        (``isinstance`` semantics), in ``ast.walk`` order."""
+        if not types:
+            return iter(self._nodes)
+        if len(types) == 1 and not types[0].__subclasses__():
+            return iter(self._by_type.get(types[0], ()))
+        return (node for node in self._nodes if isinstance(node, types))
 
 
 def _parse_suppressions(source: str) -> list[Suppression]:
